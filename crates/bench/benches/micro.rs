@@ -11,7 +11,7 @@ use mb2_core::training::{train_all, TrainingConfig};
 use mb2_core::{BehaviorModels, OuTranslator};
 use mb2_engine::storage::{Table, TableId, Ts};
 use mb2_engine::wal::{LogManager, LogManagerConfig, LogRecord};
-use mb2_engine::Database;
+use mb2_engine::{Database, Knob};
 use mb2_ml::Algorithm;
 
 fn bench_storage(c: &mut Criterion) {
@@ -160,7 +160,7 @@ fn bench_exec(c: &mut Criterion) {
         ),
         ("filter_compiled", mb2_engine::exec::ExecutionMode::Compiled),
     ] {
-        db.set_execution_mode(mode);
+        db.set_knob(Knob::ExecutionMode, mode).unwrap();
         let plan = db
             .prepare("SELECT k * 2 + g FROM b1 WHERE v > 1.0")
             .unwrap();
@@ -168,7 +168,11 @@ fn bench_exec(c: &mut Criterion) {
             b.iter(|| db.execute_plan(&plan, None).unwrap().rows_affected)
         });
     }
-    db.set_execution_mode(mb2_engine::exec::ExecutionMode::Compiled);
+    db.set_knob(
+        Knob::ExecutionMode,
+        mb2_engine::exec::ExecutionMode::Compiled,
+    )
+    .unwrap();
     group.finish();
 }
 

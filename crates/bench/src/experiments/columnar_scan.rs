@@ -21,7 +21,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mb2_engine::{Database, DatabaseConfig};
+use mb2_engine::{Database, DatabaseConfig, Knob};
 
 use crate::report::{fmt, results_dir, Table};
 use crate::Scale;
@@ -131,9 +131,9 @@ pub fn run(scale: Scale) -> String {
             ("full", "SELECT a, d FROM wide".to_string()),
         ];
         for (qname, sql) in &queries {
-            db.set_columnar_enabled(false);
+            db.set_knob(Knob::ColumnarEnabled, false).unwrap();
             let (row_rate, row_matched) = measure(&db, sql, rows, reps);
-            db.set_columnar_enabled(true);
+            db.set_knob(Knob::ColumnarEnabled, true).unwrap();
             let (col_rate, col_matched) = measure(&db, sql, rows, reps);
             assert_eq!(
                 row_matched, col_matched,

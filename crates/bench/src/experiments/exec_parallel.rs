@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mb2_engine::Database;
+use mb2_engine::{Database, Knob, KnobValue};
 
 use crate::report::{fmt, results_dir, Table};
 use crate::Scale;
@@ -105,7 +105,7 @@ pub fn run(scale: Scale) -> String {
     for (ci, case) in cases.iter().enumerate() {
         let plan = db.prepare(case.sql).unwrap();
         for (wi, &workers) in worker_counts.iter().enumerate() {
-            db.set_parallelism(workers);
+            db.set_knob(Knob::Parallelism, workers).unwrap();
             let mut times = Vec::with_capacity(reps);
             for rep in 0..=reps {
                 let mut streamed = 0usize;
@@ -134,7 +134,7 @@ pub fn run(scale: Scale) -> String {
             case.name
         );
     }
-    db.set_parallelism(1);
+    db.set_knob(Knob::Parallelism, KnobValue::Count(1)).unwrap();
 
     let max_wi = worker_counts.len() - 1;
     let mut headers: Vec<String> = vec!["pipeline".into()];

@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mb2_engine::Database;
+use mb2_engine::{Database, Knob};
 
 use crate::report::{fmt, results_dir, Table};
 use crate::Scale;
@@ -103,7 +103,7 @@ pub fn run(scale: Scale) -> String {
     for (ci, case) in cases.iter().enumerate() {
         let plan = db.prepare(case.sql).unwrap();
         for (bi, &batch) in BATCH_SIZES.iter().enumerate() {
-            db.set_batch_size(batch);
+            db.set_knob(Knob::BatchSize, batch).unwrap();
             let mut times = Vec::with_capacity(reps);
             // One warm-up pass, then timed repetitions; the median damps
             // GC/allocator noise.
@@ -128,7 +128,8 @@ pub fn run(scale: Scale) -> String {
             rates[ci][bi] = case.input_rows as f64 / median.as_secs_f64();
         }
     }
-    db.set_batch_size(mb2_engine::exec::DEFAULT_BATCH_SIZE);
+    db.set_knob(Knob::BatchSize, mb2_engine::exec::DEFAULT_BATCH_SIZE)
+        .unwrap();
 
     let mut table = Table::new(
         format!("input rows/sec over {rows} rows (median of {reps})"),

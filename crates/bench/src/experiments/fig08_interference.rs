@@ -12,7 +12,7 @@ use std::time::Duration;
 use mb2_core::runners::concurrent::{measure_isolated, run_concurrent_window, ConcurrentRunConfig};
 use mb2_core::{BehaviorModels, WorkloadForecast};
 use mb2_engine::exec::ExecutionMode;
-use mb2_engine::Database;
+use mb2_engine::{Database, Knob};
 use mb2_workloads::tpch::Tpch;
 use mb2_workloads::Workload;
 
@@ -33,7 +33,8 @@ pub fn run(scale: Scale) -> String {
     let tpch = Tpch::with_scale(train_scale);
     let db = Arc::new(Database::open());
     tpch.load(&db).expect("tpch");
-    db.set_execution_mode(ExecutionMode::Interpret);
+    db.set_knob(Knob::ExecutionMode, ExecutionMode::Interpret)
+        .unwrap();
     let templates = tpch_templates(&db, &tpch);
     let window = Duration::from_millis(scale.pick(400, 1200));
     let (interference, _, rows) = build_interference_model(
@@ -55,7 +56,8 @@ pub fn run(scale: Scale) -> String {
     let behavior = BehaviorModels::new(built.models, Some(interference));
 
     // 8a: generalize to even thread counts, compiled mode.
-    db.set_execution_mode(ExecutionMode::Compiled);
+    db.set_knob(Knob::ExecutionMode, ExecutionMode::Compiled)
+        .unwrap();
     let mut table = Table::new(
         "Fig. 8a — avg query runtime increment vs concurrent threads (compiled mode; trained on odd threads, interpret mode)",
         &["threads", "actual", "estimated"],

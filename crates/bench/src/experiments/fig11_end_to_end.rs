@@ -15,7 +15,7 @@ use mb2_core::planner::{Action, OraclePlanner};
 use mb2_core::{BehaviorModels, QueryTemplate, WorkloadForecast};
 use mb2_engine::exec::ExecutionMode;
 use mb2_engine::sql::PlanNode;
-use mb2_engine::Database;
+use mb2_engine::{Database, Knob, KnobValue};
 use mb2_workloads::tpcc::Tpcc;
 use mb2_workloads::tpch::Tpch;
 use mb2_workloads::Workload;
@@ -125,7 +125,8 @@ fn scenario(
     );
 
     // Phase 1: TPC-C, interpret mode, no secondary index.
-    db.set_execution_mode(ExecutionMode::Interpret);
+    db.set_knob(Knob::ExecutionMode, ExecutionMode::Interpret)
+        .unwrap();
     let tpcc_templates = make_tpcc_templates(db);
     let (actual, predicted) =
         drive_and_predict(db, behavior, &tpcc_templates, workers, phase, None);
@@ -144,14 +145,18 @@ fn scenario(
     forecast.push_interval(phase.as_secs_f64(), vec![5.0; tpch_templates.len()]);
     let eval = planner
         .evaluate(
-            &Action::SetExecutionMode(ExecutionMode::Compiled),
+            &Action::SetKnob(
+                Knob::ExecutionMode,
+                KnobValue::Mode(ExecutionMode::Compiled),
+            ),
             &forecast,
             0,
             &db.knobs(),
         )
         .expect("knob evaluation");
     let predicted_knob_gain = eval.predicted_gain();
-    db.set_execution_mode(ExecutionMode::Compiled);
+    db.set_knob(Knob::ExecutionMode, ExecutionMode::Compiled)
+        .unwrap();
 
     // Phase 3: TPC-H, compiled mode.
     let (actual_compiled, predicted) =

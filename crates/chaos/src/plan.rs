@@ -4,6 +4,7 @@
 use std::time::{Duration, Instant};
 
 use mb2_common::fault::{points, FaultMode};
+use mb2_engine::{Knob, KnobValue};
 
 use crate::harness::ChaosHarness;
 
@@ -36,10 +37,9 @@ pub enum ChaosEvent {
     ReadFaultStorm(f64),
     /// Stop tearing connections.
     ClearReadFaults,
-    /// Flip the vectorized-execution batch-size knob mid-workload.
-    SetBatchSize(usize),
-    /// Flip the morsel-parallelism knob mid-workload (rebuilds the pool).
-    SetParallelism(usize),
+    /// Flip an engine knob mid-workload (a parallelism change rebuilds the
+    /// exec pool under live queries).
+    SetKnob(Knob, KnobValue),
 }
 
 /// A timed sequence of events. For each event the harness runs a phase of
@@ -121,11 +121,11 @@ fn apply(harness: &mut ChaosHarness, event: &ChaosEvent) {
         ChaosEvent::ClearReadFaults => {
             harness.faults.disarm(points::SERVER_READ);
         }
-        ChaosEvent::SetBatchSize(n) => {
-            harness.db().set_batch_size(*n);
-        }
-        ChaosEvent::SetParallelism(n) => {
-            harness.db().set_parallelism(*n);
+        ChaosEvent::SetKnob(knob, value) => {
+            harness
+                .db()
+                .set_knob(*knob, *value)
+                .expect("chaos plans pass each knob a value of its kind");
         }
     }
 }

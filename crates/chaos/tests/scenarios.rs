@@ -11,6 +11,7 @@ use std::time::Duration;
 use mb2_chaos::{ChaosConfig, ChaosEvent, ChaosHarness, ChaosPlan};
 use mb2_common::fault::points;
 use mb2_common::DbError;
+use mb2_engine::{Knob, KnobValue};
 
 /// Each scenario stands up a full server plus worker fleet; on small CI
 /// hosts running them concurrently turns timing-based plans into noise.
@@ -196,10 +197,22 @@ fn knob_flips_mid_workload() {
         ..ChaosConfig::default()
     });
     ChaosPlan::new()
-        .then(Duration::from_millis(20), ChaosEvent::SetBatchSize(1))
-        .then(Duration::from_millis(20), ChaosEvent::SetParallelism(3))
-        .then(Duration::from_millis(20), ChaosEvent::SetBatchSize(256))
-        .then(Duration::from_millis(20), ChaosEvent::SetParallelism(1))
+        .then(
+            Duration::from_millis(20),
+            ChaosEvent::SetKnob(Knob::BatchSize, KnobValue::Count(1)),
+        )
+        .then(
+            Duration::from_millis(20),
+            ChaosEvent::SetKnob(Knob::Parallelism, KnobValue::Count(3)),
+        )
+        .then(
+            Duration::from_millis(20),
+            ChaosEvent::SetKnob(Knob::BatchSize, KnobValue::Count(256)),
+        )
+        .then(
+            Duration::from_millis(20),
+            ChaosEvent::SetKnob(Knob::Parallelism, KnobValue::Count(1)),
+        )
         .run(&mut h, 40);
     assert!(h.report().committed > 0);
     h.shutdown();

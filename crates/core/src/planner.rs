@@ -15,31 +15,21 @@
 use std::time::Duration;
 
 use mb2_common::{DbResult, OuKind};
-use mb2_engine::{Database, Knobs};
-use mb2_exec::ExecutionMode;
+use mb2_engine::{Database, Knob, KnobValue, Knobs, Pricing};
 use mb2_sql::{HypotheticalIndex, PlanNode, PlannerOverrides};
 
 use crate::forecast::WorkloadForecast;
-use crate::inference::{ActionForecast, BehaviorModels};
+use crate::inference::{ActionForecast, BehaviorModels, IntervalPrediction};
 
 /// A candidate self-driving action.
 ///
-/// Note on pricing honesty: knob flips that change query-plan OU features
-/// (execution mode, batch size, parallelism, shard count, columnar) are
-/// priced by re-predicting the forecast under the new knob vector, so
-/// they discriminate exactly as well as the trained models do. Cadence
-/// knobs ([`Action::SetWalFlushInterval`], [`Action::SetGcInterval`],
-/// [`Action::SetCompactionInterval`]) do not change any query's isolated
-/// cost; they are priced through the *background* OUs (Log Flush, GC,
-/// Compaction): the planner predicts the recurring per-interval cost of
-/// the background thread at the old and new cadence from the forecast's
-/// write volume, and amortizes the delta across the interval's expected
-/// query count. With no trained model for the background OU the delta
-/// degenerates to zero — untrained knobs stay honestly unpriced.
+/// Knob actions are priced honestly per the knob's [`Pricing`]: a
+/// plan-shaped knob by re-predicting the forecast under the new knob
+/// vector; a cadence knob by the change in its background OU's recurring
+/// cost at the forecast's write volume, amortized per query. A knob whose
+/// OU-model is untrained prices to zero gain.
 #[derive(Debug, Clone)]
 pub enum Action {
-    /// Change the execution-mode behavior knob.
-    SetExecutionMode(ExecutionMode),
     /// Build an index with the given parallelism.
     BuildIndex {
         sql: String,
@@ -50,19 +40,8 @@ pub enum Action {
     },
     /// Drop an existing secondary index.
     DropIndex { table: String, index: String },
-    /// Change the executor's batch-size knob.
-    SetBatchSize(usize),
-    /// Change the morsel-parallelism knob (exec-pool worker count).
-    SetParallelism(usize),
-    /// Change the WAL background flush interval.
-    SetWalFlushInterval(Duration),
-    /// Change the background GC cadence.
-    SetGcInterval(Duration),
-    /// Flip the columnar-scan behavior knob (sealed units served from
-    /// column-major blocks instead of version chains).
-    SetColumnarEnabled(bool),
-    /// Change the background columnar-compaction cadence.
-    SetCompactionInterval(Duration),
+    /// Set a runtime knob (one row of the engine's [`Knob`] table).
+    SetKnob(Knob, KnobValue),
 }
 
 impl Action {
@@ -70,30 +49,18 @@ impl Action {
     /// use this as the `action` label value).
     pub fn label(&self) -> &'static str {
         match self {
-            Action::SetExecutionMode(_) => "set_execution_mode",
             Action::BuildIndex { .. } => "build_index",
             Action::DropIndex { .. } => "drop_index",
-            Action::SetBatchSize(_) => "set_batch_size",
-            Action::SetParallelism(_) => "set_parallelism",
-            Action::SetWalFlushInterval(_) => "set_wal_flush_interval",
-            Action::SetGcInterval(_) => "set_gc_interval",
-            Action::SetColumnarEnabled(_) => "set_columnar_enabled",
-            Action::SetCompactionInterval(_) => "set_compaction_interval",
+            Action::SetKnob(knob, _) => knob.spec().label,
         }
     }
 
     /// Human-readable one-line description.
     pub fn describe(&self) -> String {
         match self {
-            Action::SetExecutionMode(mode) => format!("set execution mode to {mode:?}"),
             Action::BuildIndex { sql, .. } => sql.clone(),
             Action::DropIndex { table, index } => format!("DROP INDEX {index} ON {table}"),
-            Action::SetBatchSize(n) => format!("set batch size to {n}"),
-            Action::SetParallelism(n) => format!("set parallelism to {n}"),
-            Action::SetWalFlushInterval(d) => format!("set WAL flush interval to {d:?}"),
-            Action::SetGcInterval(d) => format!("set GC interval to {d:?}"),
-            Action::SetColumnarEnabled(on) => format!("set columnar scans to {on}"),
-            Action::SetCompactionInterval(d) => format!("set compaction interval to {d:?}"),
+            Action::SetKnob(knob, value) => format!("set {} to {value}", knob.spec().title),
         }
     }
 }
@@ -147,13 +114,6 @@ impl<'a> OraclePlanner<'a> {
             .predict_interval(forecast, interval, knobs, None);
         let baseline_us = baseline.avg_query_runtime_us();
         match action {
-            Action::SetExecutionMode(mode) => {
-                let new_knobs = Knobs {
-                    execution_mode: *mode,
-                    ..*knobs
-                };
-                Ok(self.knob_flip(forecast, interval, knobs, &new_knobs))
-            }
             Action::BuildIndex {
                 sql,
                 table,
@@ -220,54 +180,22 @@ impl<'a> OraclePlanner<'a> {
                     action_cpu_us: 0.0,
                 })
             }
-            Action::SetBatchSize(n) => {
-                let new_knobs = Knobs {
-                    batch_size: *n,
-                    ..*knobs
-                };
-                Ok(self.knob_flip(forecast, interval, knobs, &new_knobs))
-            }
-            Action::SetParallelism(n) => {
-                let new_knobs = Knobs {
-                    parallelism: *n,
-                    ..*knobs
-                };
-                Ok(self.knob_flip(forecast, interval, knobs, &new_knobs))
-            }
-            Action::SetWalFlushInterval(d) => {
-                let new_knobs = Knobs {
-                    wal_flush_interval: *d,
-                    ..*knobs
-                };
-                let mut eval = self.knob_flip(forecast, interval, knobs, &new_knobs);
-                let old_bg = self.wal_flush_cost_us(forecast, interval, knobs);
-                let new_bg = self.wal_flush_cost_us(forecast, interval, &new_knobs);
-                self.amortize_background(&mut eval, forecast, interval, new_bg - old_bg);
-                Ok(eval)
-            }
-            // The GC cadence is not a query-plan feature, so the isolated
-            // query costs never move; the honest price is the change in
-            // recurring background GC work.
-            Action::SetGcInterval(d) => {
-                let mut eval = self.knob_flip(forecast, interval, knobs, knobs);
-                let old_bg = self.gc_cost_us(forecast, interval, self.db.gc().interval(), knobs);
-                let new_bg = self.gc_cost_us(forecast, interval, *d, knobs);
-                self.amortize_background(&mut eval, forecast, interval, new_bg - old_bg);
-                Ok(eval)
-            }
-            Action::SetColumnarEnabled(on) => {
-                let new_knobs = Knobs {
-                    columnar_enabled: *on,
-                    ..*knobs
-                };
-                Ok(self.knob_flip(forecast, interval, knobs, &new_knobs))
-            }
-            Action::SetCompactionInterval(d) => {
-                let mut eval = self.knob_flip(forecast, interval, knobs, knobs);
-                let cur = self.db.compactor().interval();
-                let old_bg = self.compaction_cost_us(forecast, interval, cur, knobs);
-                let new_bg = self.compaction_cost_us(forecast, interval, *d, knobs);
-                self.amortize_background(&mut eval, forecast, interval, new_bg - old_bg);
+            Action::SetKnob(knob, value) => {
+                let new_knobs = knob.with(self.db, knobs, *value)?;
+                let mut eval = self.knob_flip(&baseline, forecast, interval, &new_knobs);
+                // A cadence is not a query-plan feature, so the honest
+                // price is the change in recurring background work.
+                if let (Pricing::Cadence(ou), KnobValue::Interval(new), KnobValue::Interval(old)) =
+                    (knob.spec().pricing, *value, knob.read(self.db, knobs))
+                {
+                    let old_bg = self.background_cost_us(ou, forecast, interval, old, knobs);
+                    let new_bg = self.background_cost_us(ou, forecast, interval, new, &new_knobs);
+                    // Overhead the interval pays, amortized per query.
+                    let total = forecast.intervals[interval].total_queries();
+                    if total > 0.0 {
+                        eval.after_us += (new_bg - old_bg) / total;
+                    }
+                }
                 Ok(eval)
             }
         }
@@ -294,108 +222,51 @@ impl<'a> OraclePlanner<'a> {
         (rows, bytes)
     }
 
-    /// Recurring per-interval cost (µs) of the WAL background flusher at
-    /// the cadence in `knobs`: `duration / interval` passes, each priced
-    /// by the Log Flush OU-model on its share of the forecast write bytes.
-    fn wal_flush_cost_us(
+    /// Recurring per-interval cost (µs) of the background thread whose
+    /// passes `ou` models, run at `cadence`: `duration / cadence` passes,
+    /// each priced by the OU-model on its share of the forecast write
+    /// volume — WAL bytes for Log Flush, version churn for GC, cold
+    /// inserted rows (sealable units) for Compaction. A zero GC or
+    /// compaction cadence means the thread is not running (no cost); a
+    /// zero WAL interval is a flusher that never waits.
+    fn background_cost_us(
         &self,
-        forecast: &WorkloadForecast,
-        interval: usize,
-        knobs: &Knobs,
-    ) -> f64 {
-        let (_, bytes) = self.forecast_write_volume(forecast, interval);
-        let iv = &forecast.intervals[interval];
-        let interval_ms = (knobs.wal_flush_interval.as_secs_f64() * 1000.0).max(0.001);
-        let passes = ((iv.duration_s * 1000.0) / interval_ms).max(1.0);
-        let inst = self
-            .models
-            .translator
-            .log_flush_features(bytes / passes, knobs);
-        let per_pass = self
-            .models
-            .ou_models
-            .predict(OuKind::LogFlush, &inst.features)
-            .elapsed_us();
-        passes * per_pass.max(0.0)
-    }
-
-    /// Recurring per-interval cost (µs) of background GC at the given
-    /// cadence, priced by the GC OU-model on the forecast's version churn.
-    /// Zero cadence means background GC is not running — no cost.
-    fn gc_cost_us(
-        &self,
+        ou: OuKind,
         forecast: &WorkloadForecast,
         interval: usize,
         cadence: Duration,
         knobs: &Knobs,
     ) -> f64 {
-        if cadence.is_zero() {
+        if cadence.is_zero() && ou != OuKind::LogFlush {
             return 0.0;
         }
-        let (rows, _) = self.forecast_write_volume(forecast, interval);
-        let iv = &forecast.intervals[interval];
-        let interval_ms = (cadence.as_secs_f64() * 1000.0).max(0.001);
-        let passes = ((iv.duration_s * 1000.0) / interval_ms).max(1.0);
-        let inst =
-            self.models
-                .translator
-                .gc_features(rows / passes, rows.max(1.0), interval_ms, knobs);
-        let per_pass = self
-            .models
-            .ou_models
-            .predict(OuKind::GarbageCollection, &inst.features)
-            .elapsed_us();
-        passes * per_pass.max(0.0)
-    }
-
-    /// Recurring per-interval cost (µs) of columnar compaction at the
-    /// given cadence, priced by the Compaction OU-model on the forecast's
-    /// insert volume (cold data that will freeze into sealable units).
-    fn compaction_cost_us(
-        &self,
-        forecast: &WorkloadForecast,
-        interval: usize,
-        cadence: Duration,
-        knobs: &Knobs,
-    ) -> f64 {
-        if cadence.is_zero() {
-            return 0.0;
-        }
-        let unit = mb2_engine::storage::SHARD_UNIT_SLOTS as f64;
-        let (rows, _) = self.forecast_write_volume(forecast, interval);
+        let (rows, bytes) = self.forecast_write_volume(forecast, interval);
         let iv = &forecast.intervals[interval];
         let interval_ms = (cadence.as_secs_f64() * 1000.0).max(0.001);
         let passes = ((iv.duration_s * 1000.0) / interval_ms).max(1.0);
         let per_pass_rows = rows / passes;
-        let inst = self.models.translator.compaction_features(
-            per_pass_rows,
-            (per_pass_rows / unit).ceil().max(1.0),
-            interval_ms,
-            knobs,
-        );
+        let translator = &self.models.translator;
+        let inst = match ou {
+            OuKind::LogFlush => translator.log_flush_features(bytes / passes, knobs),
+            OuKind::GarbageCollection => {
+                translator.gc_features(per_pass_rows, rows.max(1.0), interval_ms, knobs)
+            }
+            OuKind::Compaction => translator.compaction_features(
+                per_pass_rows,
+                (per_pass_rows / mb2_engine::storage::SHARD_UNIT_SLOTS as f64)
+                    .ceil()
+                    .max(1.0),
+                interval_ms,
+                knobs,
+            ),
+            _ => return 0.0,
+        };
         let per_pass = self
             .models
             .ou_models
-            .predict(OuKind::Compaction, &inst.features)
+            .predict(ou, &inst.features)
             .elapsed_us();
         passes * per_pass.max(0.0)
-    }
-
-    /// Fold a recurring background-cost delta (µs per forecast interval)
-    /// into `after_us`: a cadence change leaves every query's isolated
-    /// cost alone, but the background thread's work is overhead the
-    /// interval pays — amortized across the expected query count.
-    fn amortize_background(
-        &self,
-        eval: &mut ActionEvaluation,
-        forecast: &WorkloadForecast,
-        interval: usize,
-        delta_us: f64,
-    ) {
-        let total = forecast.intervals[interval].total_queries();
-        if total > 0.0 {
-            eval.after_us += delta_us / total;
-        }
     }
 
     /// Price a pure knob flip: compare isolated per-query predictions
@@ -404,14 +275,11 @@ impl<'a> OraclePlanner<'a> {
     /// instantly, so cost and impact are zero.
     fn knob_flip(
         &self,
+        baseline: &IntervalPrediction,
         forecast: &WorkloadForecast,
         interval: usize,
-        knobs: &Knobs,
         new_knobs: &Knobs,
     ) -> ActionEvaluation {
-        let baseline = self
-            .models
-            .predict_interval(forecast, interval, knobs, None);
         let after = self
             .models
             .predict_interval(forecast, interval, new_knobs, None);
@@ -454,6 +322,7 @@ mod tests {
     use crate::translate::OuTranslator;
     use mb2_common::metrics::idx;
     use mb2_common::Metrics;
+    use mb2_exec::ExecutionMode;
     use mb2_ml::Algorithm;
 
     /// Models where index scans are predicted much cheaper than sequential
@@ -624,12 +493,21 @@ mod tests {
         // models, and this read-only forecast carries no write volume, so
         // every one of these prices honestly to exactly zero gain.
         for action in [
-            Action::SetBatchSize(64),
-            Action::SetParallelism(8),
-            Action::SetWalFlushInterval(Duration::from_millis(1)),
-            Action::SetGcInterval(Duration::from_millis(100)),
-            Action::SetColumnarEnabled(true),
-            Action::SetCompactionInterval(Duration::from_millis(100)),
+            Action::SetKnob(Knob::BatchSize, KnobValue::Count(64)),
+            Action::SetKnob(Knob::Parallelism, KnobValue::Count(8)),
+            Action::SetKnob(
+                Knob::WalFlushInterval,
+                KnobValue::Interval(Duration::from_millis(1)),
+            ),
+            Action::SetKnob(
+                Knob::GcInterval,
+                KnobValue::Interval(Duration::from_millis(100)),
+            ),
+            Action::SetKnob(Knob::ColumnarEnabled, KnobValue::Flag(true)),
+            Action::SetKnob(
+                Knob::CompactionInterval,
+                KnobValue::Interval(Duration::from_millis(100)),
+            ),
         ] {
             let eval = planner
                 .evaluate(&action, &forecast, 0, &db.knobs())
@@ -685,7 +563,10 @@ mod tests {
         // 10× less often pays less. Both must move `after_us`.
         let fast = planner
             .evaluate(
-                &Action::SetWalFlushInterval(knobs.wal_flush_interval / 10),
+                &Action::SetKnob(
+                    Knob::WalFlushInterval,
+                    KnobValue::Interval(knobs.wal_flush_interval / 10),
+                ),
                 &forecast,
                 0,
                 &knobs,
@@ -694,7 +575,10 @@ mod tests {
         assert!(fast.after_us > fast.baseline_us, "{fast:?}");
         let slow = planner
             .evaluate(
-                &Action::SetWalFlushInterval(knobs.wal_flush_interval * 10),
+                &Action::SetKnob(
+                    Knob::WalFlushInterval,
+                    KnobValue::Interval(knobs.wal_flush_interval * 10),
+                ),
                 &forecast,
                 0,
                 &knobs,
@@ -705,13 +589,20 @@ mod tests {
 
     #[test]
     fn action_labels_are_stable() {
-        assert_eq!(Action::SetBatchSize(1).label(), "set_batch_size");
         assert_eq!(
-            Action::SetColumnarEnabled(true).label(),
+            Action::SetKnob(Knob::BatchSize, KnobValue::Count(1)).label(),
+            "set_batch_size"
+        );
+        assert_eq!(
+            Action::SetKnob(Knob::ColumnarEnabled, KnobValue::Flag(true)).label(),
             "set_columnar_enabled"
         );
         assert_eq!(
-            Action::SetCompactionInterval(Duration::from_millis(1)).label(),
+            Action::SetKnob(
+                Knob::CompactionInterval,
+                KnobValue::Interval(Duration::from_millis(1))
+            )
+            .label(),
             "set_compaction_interval"
         );
         assert_eq!(
@@ -728,6 +619,46 @@ mod tests {
         }
         .describe()
         .contains("DROP INDEX i ON t"));
+        let ms = Duration::from_millis;
+        for (knob, value, want) in [
+            (
+                Knob::ExecutionMode,
+                KnobValue::Mode(ExecutionMode::Interpret),
+                "set execution mode to Interpret",
+            ),
+            (
+                Knob::BatchSize,
+                KnobValue::Count(64),
+                "set batch size to 64",
+            ),
+            (
+                Knob::Parallelism,
+                KnobValue::Count(4),
+                "set parallelism to 4",
+            ),
+            (
+                Knob::WalFlushInterval,
+                KnobValue::Interval(ms(20)),
+                "set WAL flush interval to 20ms",
+            ),
+            (
+                Knob::GcInterval,
+                KnobValue::Interval(ms(5)),
+                "set GC interval to 5ms",
+            ),
+            (
+                Knob::ColumnarEnabled,
+                KnobValue::Flag(true),
+                "set columnar scans to true",
+            ),
+            (
+                Knob::CompactionInterval,
+                KnobValue::Interval(ms(50)),
+                "set compaction interval to 50ms",
+            ),
+        ] {
+            assert_eq!(Action::SetKnob(knob, value).describe(), want);
+        }
     }
 
     #[test]
@@ -745,7 +676,10 @@ mod tests {
         forecast.push_interval(10.0, vec![5.0]);
         let eval = planner
             .evaluate(
-                &Action::SetExecutionMode(ExecutionMode::Interpret),
+                &Action::SetKnob(
+                    Knob::ExecutionMode,
+                    KnobValue::Mode(ExecutionMode::Interpret),
+                ),
                 &forecast,
                 0,
                 &db.knobs(),

@@ -8,7 +8,7 @@
 //! full pipeline runs in CI time — configurable upward).
 
 use mb2_common::{DbResult, HardwareProfile, Prng};
-use mb2_engine::{Database, DatabaseConfig};
+use mb2_engine::{Database, DatabaseConfig, Knob};
 use mb2_exec::ExecutionMode;
 
 use crate::collect::TrainingRepo;
@@ -87,13 +87,13 @@ pub fn run_execution_runners(cfg: &ExecutionRunnerConfig) -> DbResult<TrainingRe
         db.set_hw(cfg.hw);
         db.set_jht_sleep_every(cfg.jht_sleep_every);
         for &mode in &cfg.modes {
-            db.set_execution_mode(mode);
+            db.set_knob(Knob::ExecutionMode, mode)?;
             for &batch in &cfg.batch_sizes {
-                db.set_batch_size(batch);
+                db.set_knob(Knob::BatchSize, batch)?;
                 for &workers in &cfg.parallelism {
-                    db.set_parallelism(workers);
+                    db.set_knob(Knob::Parallelism, workers)?;
                     for &columnar in &cfg.columnar {
-                        db.set_columnar_enabled(columnar);
+                        db.set_knob(Knob::ColumnarEnabled, columnar)?;
                         if columnar {
                             // Seal frozen units so block scans have blocks
                             // to serve (DML in the sweep dirties some; the
@@ -102,7 +102,7 @@ pub fn run_execution_runners(cfg: &ExecutionRunnerConfig) -> DbResult<TrainingRe
                         }
                         sweep_queries(&db, rows, &translator, cfg, &mut repo)?;
                     }
-                    db.set_columnar_enabled(false);
+                    db.set_knob(Knob::ColumnarEnabled, false)?;
                 }
             }
         }
@@ -120,11 +120,11 @@ pub fn run_join_runner(cfg: &ExecutionRunnerConfig) -> DbResult<TrainingRepo> {
         db.set_hw(cfg.hw);
         db.set_jht_sleep_every(cfg.jht_sleep_every);
         for &mode in &cfg.modes {
-            db.set_execution_mode(mode);
+            db.set_knob(Knob::ExecutionMode, mode)?;
             for &batch in &cfg.batch_sizes {
-                db.set_batch_size(batch);
+                db.set_knob(Knob::BatchSize, batch)?;
                 for &workers in &cfg.parallelism {
-                    db.set_parallelism(workers);
+                    db.set_knob(Knob::Parallelism, workers)?;
                     for sql in [
                         "SELECT * FROM ou_r1, ou_r2 WHERE ou_r1.jk = ou_r2.k",
                         "SELECT * FROM ou_r1, ou_r2 WHERE ou_r1.jk = ou_r2.k AND ou_r2.w > 100.0",

@@ -586,7 +586,7 @@ impl OuTranslator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mb2_engine::Database;
+    use mb2_engine::{Database, Knob, KnobValue};
 
     fn db_with_data() -> Database {
         let db = Database::open();
@@ -653,7 +653,7 @@ mod tests {
         }
 
         let db = db_with_data();
-        db.set_columnar_enabled(true);
+        db.set_knob(Knob::ColumnarEnabled, true).unwrap();
         db.compact_now();
         let translator = OuTranslator::default();
         for sql in [
@@ -771,9 +771,9 @@ mod tests {
     fn knob_features_track_knob_changes() {
         let db = db_with_data();
         let plan = db.prepare("SELECT * FROM t WHERE a < 50").unwrap();
-        db.set_batch_size(7);
-        db.set_parallelism(3);
-        db.set_shard_count(5);
+        db.set_knob(Knob::BatchSize, KnobValue::Count(7)).unwrap();
+        db.set_knob(Knob::Parallelism, KnobValue::Count(3)).unwrap();
+        db.set_knob(Knob::ShardCount, KnobValue::Count(5)).unwrap();
         let t = OuTranslator::default();
         let knobs = db.knobs();
         let insts = t.translate_plan(&plan, &knobs);

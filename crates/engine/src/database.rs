@@ -1,15 +1,14 @@
 //! The `Database` facade.
 
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
 use mb2_catalog::Catalog;
 use mb2_common::{Column, DbError, DbResult, FaultInjector, Schema};
 use mb2_exec::{
-    execute, execute_batched, Batch, ExecContext, ExecPool, ExecutionMode, ObsRecorder, OuRecorder,
-    QueryResult, DEFAULT_MORSEL_SLOTS,
+    execute, execute_batched, Batch, ExecContext, ExecPool, ObsRecorder, OuRecorder, QueryResult,
+    DEFAULT_MORSEL_SLOTS,
 };
 use mb2_index::IndexObs;
 use mb2_obs::MetricsRegistry;
@@ -19,6 +18,7 @@ use mb2_wal::{LogManager, LogManagerConfig, LogRecord, LoggedColumn};
 
 use crate::config::{DatabaseConfig, Knobs};
 use crate::health::{DegradedReason, HealthState, HealthTracker};
+use crate::knob::{Knob, KnobValue};
 use crate::metrics::{classify, EngineMetrics, StatementKind};
 use crate::session::Session;
 use crate::tasks::{BackgroundTask, StatementTap};
@@ -93,16 +93,14 @@ impl Database {
         if let Some(interval) = config.compaction_interval {
             compactor.start_background(interval);
         }
-        let workers = config.knobs.parallelism.max(1);
-        let pool = (workers > 1).then(|| ExecPool::with_metrics(workers, &metrics));
-        Ok(Database {
+        let db = Database {
             catalog: Catalog::new(),
             txns,
             gc,
             compactor,
             wal,
             knobs: RwLock::new(config.knobs),
-            pool: RwLock::new(pool),
+            pool: RwLock::new(None),
             engine_metrics: EngineMetrics::new(&metrics),
             obs_recorder: ObsRecorder::new(&metrics),
             index_obs: IndexObs::new(&metrics),
@@ -112,7 +110,9 @@ impl Database {
             background_tasks: Mutex::new(Vec::new()),
             statement_tap: RwLock::new(None),
             plan_cache: Mutex::new(std::collections::HashMap::new()),
-        })
+        };
+        db.rebuild_pool();
+        Ok(db)
     }
 
     /// Open with default configuration.
@@ -185,8 +185,22 @@ impl Database {
         *self.knobs.read()
     }
 
-    pub fn set_execution_mode(&self, mode: ExecutionMode) {
-        self.knobs.write().execution_mode = mode;
+    /// A knob's current value (see [`Knob`] for the table of knobs).
+    pub fn knob(&self, knob: Knob) -> KnobValue {
+        knob.read(self, &self.knobs())
+    }
+
+    /// Set a knob at runtime: the value is clamped and its live side
+    /// effect applied as the knob's table row says. Fails, changing
+    /// nothing, when `value` is not of the knob's kind.
+    pub fn set_knob(&self, knob: Knob, value: impl Into<KnobValue>) -> DbResult<()> {
+        let value = value.into();
+        {
+            let mut knobs = self.knobs.write();
+            *knobs = knob.with(self, &knobs, value)?;
+        }
+        (knob.spec().apply)(self, value);
+        Ok(())
     }
 
     pub fn set_hw(&self, hw: mb2_common::HardwareProfile) {
@@ -195,51 +209,6 @@ impl Database {
 
     pub fn set_jht_sleep_every(&self, n: usize) {
         self.knobs.write().jht_sleep_every = n;
-    }
-
-    /// Rows per batch in the execution pipeline (clamped to at least 1;
-    /// `1` = tuple-at-a-time execution).
-    pub fn set_batch_size(&self, n: usize) {
-        self.knobs.write().batch_size = n.max(1);
-    }
-
-    /// Workers in the shared intra-query execution pool (clamped to at
-    /// least 1; `1` = serial execution, no pool threads). Changing the knob
-    /// tears down the old pool (joining its workers) and builds a new one;
-    /// in-flight queries keep their `Arc` to the old pool until they finish.
-    /// Change the WAL background flush interval (a behavior knob) at
-    /// runtime. Updates [`Knobs::wal_flush_interval`] and, when a WAL is
-    /// attached, retunes the running flusher thread in place. A no-op on
-    /// WAL-less databases beyond the knob update.
-    pub fn set_wal_flush_interval(&self, interval: Duration) {
-        self.knobs.write().wal_flush_interval = interval;
-        if let Some(wal) = &self.wal {
-            wal.set_flush_interval(interval);
-        }
-    }
-
-    /// Change the background GC cadence (a behavior knob) at runtime.
-    /// Takes effect immediately on a running background GC thread; a
-    /// no-op (beyond storing the value) when background GC was never
-    /// started.
-    pub fn set_gc_interval(&self, interval: Duration) {
-        self.gc.set_interval(interval);
-    }
-
-    /// Change the background compaction cadence (a behavior knob) at
-    /// runtime. Takes effect immediately on a running compactor thread; a
-    /// no-op (beyond storing the value) when background compaction was
-    /// never started.
-    pub fn set_compaction_interval(&self, interval: Duration) {
-        self.compactor.set_interval(interval);
-    }
-
-    /// Flip the `columnar_enabled` behavior knob: sequential scans serve
-    /// clean sealed units from their columnar blocks instead of walking
-    /// version chains. Row output is byte-identical either way, so the
-    /// knob can flip under live traffic.
-    pub fn set_columnar_enabled(&self, enabled: bool) {
-        self.knobs.write().columnar_enabled = enabled;
     }
 
     /// Register a background component (e.g. the autopilot) to be
@@ -272,18 +241,11 @@ impl Database {
         }
     }
 
-    pub fn set_parallelism(&self, n: usize) {
-        let n = n.max(1);
-        self.knobs.write().parallelism = n;
-        let pool = (n > 1).then(|| ExecPool::with_metrics(n, &self.metrics));
-        *self.pool.write() = pool;
-    }
-
-    /// Hash-shard count for tables created after this call (clamped to at
-    /// least 1). Existing tables keep their shard count — the shard map is
-    /// fixed at table creation.
-    pub fn set_shard_count(&self, n: usize) {
-        self.knobs.write().shard_count = n.max(1);
+    /// Replace the exec pool with one sized to `knobs.parallelism`,
+    /// joining the old pool's workers once in-flight queries release it.
+    pub(crate) fn rebuild_pool(&self) {
+        let n = self.knobs().parallelism;
+        *self.pool.write() = (n > 1).then(|| ExecPool::with_metrics(n, &self.metrics));
     }
 
     /// Per-shard storage statistics for every table, sorted by table name:
@@ -800,6 +762,7 @@ impl Drop for Database {
 mod tests {
     use super::*;
     use mb2_common::Value;
+    use mb2_exec::ExecutionMode;
 
     #[test]
     fn ddl_and_autocommit_dml() {
@@ -865,7 +828,8 @@ mod tests {
     fn knob_changes_apply() {
         let db = Database::open();
         assert_eq!(db.knobs().execution_mode, ExecutionMode::Compiled);
-        db.set_execution_mode(ExecutionMode::Interpret);
+        db.set_knob(Knob::ExecutionMode, ExecutionMode::Interpret)
+            .unwrap();
         assert_eq!(db.knobs().execution_mode, ExecutionMode::Interpret);
         db.set_jht_sleep_every(100);
         assert_eq!(db.knobs().jht_sleep_every, 100);
@@ -894,11 +858,11 @@ mod tests {
             db.execute(&format!("INSERT INTO t VALUES ({i}, {})", i % 7))
                 .unwrap();
         }
-        db.set_parallelism(1);
+        db.set_knob(Knob::Parallelism, KnobValue::Count(1)).unwrap();
         assert!(db.exec_pool().is_none(), "parallelism 1 runs serial");
         let serial = db.execute("SELECT a, b FROM t WHERE b < 3").unwrap().rows;
         for workers in [2usize, 4] {
-            db.set_parallelism(workers);
+            db.set_knob(Knob::Parallelism, workers).unwrap();
             let pool = db.exec_pool().expect("pool built for parallelism > 1");
             assert_eq!(pool.workers(), workers);
             assert_eq!(db.knobs().parallelism, workers);
@@ -909,7 +873,7 @@ mod tests {
         let prom = db.metrics_prometheus();
         assert!(prom.contains("mb2_exec_pool_workers"));
         assert!(prom.contains("mb2_exec_pool_busy_workers"));
-        db.set_parallelism(0); // clamps to 1
+        db.set_knob(Knob::Parallelism, KnobValue::Count(0)).unwrap(); // clamps to 1
         assert_eq!(db.knobs().parallelism, 1);
         assert!(db.exec_pool().is_none());
     }
@@ -938,7 +902,7 @@ mod tests {
         // Seal the cold unit, then flip the knob: results must not move.
         let report = db.compact_now();
         assert!(report.units_sealed >= 1, "{report:?}");
-        db.set_columnar_enabled(true);
+        db.set_knob(Knob::ColumnarEnabled, true).unwrap();
         assert!(db.knobs().columnar_enabled);
         for (q, want) in queries.iter().zip(&want) {
             assert_eq!(&db.execute(q).unwrap().rows, want, "{q}");
@@ -965,7 +929,7 @@ mod tests {
             .rows;
         assert!(!want.is_empty());
         for batch_size in [1usize, 3, 1024] {
-            db.set_batch_size(batch_size);
+            db.set_knob(Knob::BatchSize, batch_size).unwrap();
             let mut got: Vec<Vec<Value>> = Vec::new();
             let mut batches = 0usize;
             let n = db

@@ -2,13 +2,14 @@
 //!
 //! [`Database`] wires together catalog, MVCC transactions, WAL, garbage
 //! collection, and the execution engine behind a SQL interface, and exposes
-//! the behavior knobs the paper tunes: execution mode (interpret vs.
-//! compiled), WAL flush interval, GC interval, and the emulated hardware
-//! profile (paper §4.2, §8.6).
+//! the behavior knobs the paper tunes — one [`Knob`] table read and written
+//! through [`Database::knob`] / [`Database::set_knob`] — plus the emulated
+//! hardware profile (paper §4.2, §8.6).
 
 pub mod config;
 pub mod database;
 pub mod health;
+pub mod knob;
 pub(crate) mod metrics;
 pub mod recovery;
 pub mod session;
@@ -17,6 +18,7 @@ pub mod tasks;
 pub use config::{DatabaseConfig, Knobs};
 pub use database::Database;
 pub use health::{DegradedReason, HealthState, HealthTracker};
+pub use knob::{Knob, KnobSpec, KnobValue, Pricing, Step};
 pub use recovery::{recover, recover_with, RecoveryOptions, RecoveryReport};
 pub use session::Session;
 pub use tasks::{BackgroundTask, StatementTap};

@@ -11,23 +11,16 @@
 //! * **Index drops** — pilot-built indexes that no plan in the current
 //!   forecast scans. The pilot only ever proposes dropping indexes it
 //!   built itself; user-created indexes are out of bounds.
-//! * **Knob flips** — execution mode, batch size, parallelism, columnar
-//!   scans, WAL flush interval, GC cadence, and compaction cadence, each
-//!   stepped up/down (or toggled) from its current value. Plan-shaped
-//!   knobs (execution mode, batch size, parallelism, columnar) are priced
-//!   by re-predicting the forecast plans under the flipped knobs; cadence
-//!   knobs are priced through their background OUs' recurring cost (see
-//!   the [`Action`] docs). Knobs whose OU-models are untrained price
-//!   honestly to zero gain.
+//! * **Knob flips** — every row of the engine's [`Knob`] table, stepped
+//!   up/down (or toggled) from its current value by the row's step rule
+//!   and priced as the [`Action`] docs describe.
 
 use std::collections::BTreeSet;
-use std::time::Duration;
 
 use mb2_core::planner::Action;
 use mb2_core::WorkloadForecast;
-use mb2_engine::exec::ExecutionMode;
 use mb2_engine::sql::{BinOp, BoundExpr, PlanNode};
-use mb2_engine::Database;
+use mb2_engine::{Database, Knob};
 
 use crate::config::PilotConfig;
 
@@ -119,7 +112,6 @@ pub fn enumerate(
     config: &PilotConfig,
 ) -> Vec<Action> {
     let mut actions = Vec::new();
-    let knobs = db.knobs();
 
     // Index builds: seq-scanned equality columns without a covering index.
     let mut eq_cols = BTreeSet::new();
@@ -178,49 +170,54 @@ pub fn enumerate(
         }
     }
 
-    // Knob flips, fixed order. Execution mode: try the other mode.
-    actions.push(Action::SetExecutionMode(match knobs.execution_mode {
-        ExecutionMode::Interpret => ExecutionMode::Compiled,
-        ExecutionMode::Compiled => ExecutionMode::Interpret,
-    }));
-    for n in [knobs.batch_size * 2, knobs.batch_size / 2] {
-        if n >= 1 && n != knobs.batch_size {
-            actions.push(Action::SetBatchSize(n));
-        }
-    }
-    for n in [
-        (knobs.parallelism * 2).min(config.max_parallelism),
-        knobs.parallelism / 2,
-    ] {
-        if n >= 1 && n != knobs.parallelism {
-            actions.push(Action::SetParallelism(n));
-        }
-    }
-    if db.wal().is_some() {
-        let cur = knobs.wal_flush_interval;
-        for d in [cur * 2, cur / 2] {
-            if d >= Duration::from_millis(1) && d != cur {
-                actions.push(Action::SetWalFlushInterval(d));
-            }
-        }
-    }
-    let gc = db.gc().interval();
-    if gc > Duration::ZERO {
-        for d in [gc * 2, gc / 2] {
-            if d >= Duration::from_millis(1) && d != gc {
-                actions.push(Action::SetGcInterval(d));
-            }
-        }
-    }
-    actions.push(Action::SetColumnarEnabled(!knobs.columnar_enabled));
-    let compaction = db.compactor().interval();
-    if compaction > Duration::ZERO {
-        for d in [compaction * 2, compaction / 2] {
-            if d >= Duration::from_millis(1) && d != compaction {
-                actions.push(Action::SetCompactionInterval(d));
-            }
+    // Knob flips, in knob-table order, each stepped per its table rule.
+    for knob in Knob::ALL {
+        for value in knob.steps(db) {
+            actions.push(Action::SetKnob(knob, value));
         }
     }
 
     actions
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    use mb2_engine::{DatabaseConfig, KnobValue};
+
+    #[test]
+    fn knob_candidates_keep_table_order() {
+        let db = Database::new(DatabaseConfig {
+            gc_interval: Some(Duration::from_millis(40)),
+            compaction_interval: Some(Duration::from_millis(40)),
+            ..DatabaseConfig::default()
+        })
+        .unwrap();
+        db.set_knob(Knob::Parallelism, KnobValue::Count(2)).unwrap();
+        let forecast = WorkloadForecast::new(Vec::new(), 2);
+        let labels: Vec<&str> = enumerate(&db, &forecast, &[], &PilotConfig::default())
+            .iter()
+            .map(Action::label)
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                "set_execution_mode",
+                "set_batch_size",
+                "set_batch_size",
+                "set_parallelism",
+                "set_parallelism",
+                "set_wal_flush_interval",
+                "set_wal_flush_interval",
+                "set_gc_interval",
+                "set_gc_interval",
+                "set_columnar_enabled",
+                "set_compaction_interval",
+                "set_compaction_interval",
+            ]
+        );
+        db.shutdown();
+    }
 }

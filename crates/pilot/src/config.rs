@@ -36,8 +36,6 @@ pub struct PilotConfig {
     pub revert_threshold: f64,
     /// Parallelism requested for pilot-built index builds.
     pub index_build_threads: usize,
-    /// Upper bound for `SetParallelism` candidates.
-    pub max_parallelism: usize,
     /// Seed for deterministic tie-breaking among equal-gain candidates.
     pub seed: u64,
 }
@@ -55,7 +53,6 @@ impl Default for PilotConfig {
             verify_window: Duration::from_secs(2),
             revert_threshold: 0.5,
             index_build_threads: 2,
-            max_parallelism: 8,
             seed: 0,
         }
     }

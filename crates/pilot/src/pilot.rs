@@ -14,7 +14,7 @@ use mb2_core::forecast::SlidingWindowForecaster;
 use mb2_core::planner::{Action, ActionEvaluation, OraclePlanner};
 use mb2_core::BehaviorModels;
 use mb2_engine::obs::Histogram;
-use mb2_engine::{BackgroundTask, Database, StatementTap};
+use mb2_engine::{BackgroundTask, Database, Knob, KnobValue, StatementTap};
 
 use crate::candidates;
 use crate::config::PilotConfig;
@@ -54,13 +54,8 @@ enum Undo {
         table: String,
         index: String,
     },
-    ExecutionMode(mb2_engine::exec::ExecutionMode),
-    BatchSize(usize),
-    Parallelism(usize),
-    WalFlushInterval(Duration),
-    GcInterval(Duration),
-    ColumnarEnabled(bool),
-    CompactionInterval(Duration),
+    /// Restore a knob to its value before the apply.
+    Knob(Knob, KnobValue),
 }
 
 /// An action deployed and awaiting its verify verdict.
@@ -442,12 +437,7 @@ impl Pilot {
 
     /// Deploy an action to the live engine and return its undo.
     fn apply(&self, state: &mut PilotState, action: &Action) -> DbResult<Undo> {
-        let knobs = self.db.knobs();
         match action {
-            Action::SetExecutionMode(mode) => {
-                self.db.set_execution_mode(*mode);
-                Ok(Undo::ExecutionMode(knobs.execution_mode))
-            }
             Action::BuildIndex {
                 sql, table, index, ..
             } => {
@@ -474,31 +464,10 @@ impl Pilot {
                     index: index.clone(),
                 })
             }
-            Action::SetBatchSize(n) => {
-                self.db.set_batch_size(*n);
-                Ok(Undo::BatchSize(knobs.batch_size))
-            }
-            Action::SetParallelism(n) => {
-                self.db.set_parallelism(*n);
-                Ok(Undo::Parallelism(knobs.parallelism))
-            }
-            Action::SetWalFlushInterval(d) => {
-                self.db.set_wal_flush_interval(*d);
-                Ok(Undo::WalFlushInterval(knobs.wal_flush_interval))
-            }
-            Action::SetGcInterval(d) => {
-                let prev = self.db.gc().interval();
-                self.db.set_gc_interval(*d);
-                Ok(Undo::GcInterval(prev))
-            }
-            Action::SetColumnarEnabled(on) => {
-                self.db.set_columnar_enabled(*on);
-                Ok(Undo::ColumnarEnabled(knobs.columnar_enabled))
-            }
-            Action::SetCompactionInterval(d) => {
-                let prev = self.db.compactor().interval();
-                self.db.set_compaction_interval(*d);
-                Ok(Undo::CompactionInterval(prev))
+            Action::SetKnob(knob, value) => {
+                let prev = self.db.knob(*knob);
+                self.db.set_knob(*knob, *value)?;
+                Ok(Undo::Knob(*knob, prev))
             }
         }
     }
@@ -564,13 +533,7 @@ impl Pilot {
                         .insert(index.clone(), (table.clone(), sql.clone()));
                 }
             }
-            Undo::ExecutionMode(mode) => self.db.set_execution_mode(*mode),
-            Undo::BatchSize(n) => self.db.set_batch_size(*n),
-            Undo::Parallelism(n) => self.db.set_parallelism(*n),
-            Undo::WalFlushInterval(d) => self.db.set_wal_flush_interval(*d),
-            Undo::GcInterval(d) => self.db.set_gc_interval(*d),
-            Undo::ColumnarEnabled(on) => self.db.set_columnar_enabled(*on),
-            Undo::CompactionInterval(d) => self.db.set_compaction_interval(*d),
+            Undo::Knob(knob, value) => self.db.set_knob(*knob, *value)?,
         }
         Ok(())
     }
@@ -624,5 +587,47 @@ impl Drop for Pilot {
         // runs the thread is already gone; this only covers the
         // never-started case.
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mb2_core::training::OuModelSet;
+    use mb2_engine::{DatabaseConfig, Step};
+
+    #[test]
+    fn knob_undo_restores_every_steppable_knob() {
+        // Start the GC and compactor threads so their cadences have steps.
+        let db = Arc::new(
+            Database::new(DatabaseConfig {
+                gc_interval: Some(Duration::from_millis(40)),
+                compaction_interval: Some(Duration::from_millis(40)),
+                ..DatabaseConfig::default()
+            })
+            .unwrap(),
+        );
+        let models = Arc::new(BehaviorModels::new(OuModelSet::default(), None));
+        let pilot = Pilot::new(db.clone(), models, PilotConfig::fast());
+        let mut state = PilotState::default();
+        for knob in Knob::ALL {
+            if knob.spec().step == Step::Fixed {
+                continue;
+            }
+            let steps = knob.steps(&db);
+            assert!(!steps.is_empty(), "{knob:?} has no step to undo");
+            for value in steps {
+                let before = db.knob(knob);
+                let snapshot = format!("{:?}", db.knobs());
+                let undo = pilot
+                    .apply(&mut state, &Action::SetKnob(knob, value))
+                    .unwrap();
+                assert_eq!(db.knob(knob), value, "{knob:?} applied");
+                pilot.revert(&mut state, &undo).unwrap();
+                assert_eq!(db.knob(knob), before, "{knob:?} -> {value} reverted");
+                assert_eq!(format!("{:?}", db.knobs()), snapshot, "{knob:?}");
+            }
+        }
+        db.shutdown();
     }
 }

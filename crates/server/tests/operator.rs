@@ -103,7 +103,11 @@ fn show_shards_reports_per_shard_storage_over_the_wire() {
 
 #[test]
 fn show_blocks_reports_sealed_columnar_state_over_the_wire() {
-    let db = Arc::new(Database::new(DatabaseConfig::default()).expect("database"));
+    // One shard, whatever the core count: the assertions below describe a
+    // single-shard layout (one SHOW BLOCKS row, one sealed 512-slot unit).
+    let mut config = DatabaseConfig::default();
+    config.knobs.shard_count = 1;
+    let db = Arc::new(Database::new(config).expect("database"));
     let server = Server::start(db.clone(), ServerConfig::default()).expect("server start");
     let mut client = Client::connect(server.local_addr().to_string()).expect("connect");
 

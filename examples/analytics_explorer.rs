@@ -6,7 +6,7 @@
 
 use mb2::common::Prng;
 use mb2::engine::exec::ExecutionMode;
-use mb2::engine::Database;
+use mb2::engine::{Database, Knob};
 use mb2::workloads::tpch::Tpch;
 use mb2::workloads::Workload;
 
@@ -30,7 +30,7 @@ fn main() {
 
         let mut timings = Vec::new();
         for mode in [ExecutionMode::Interpret, ExecutionMode::Compiled] {
-            db.set_execution_mode(mode);
+            db.set_knob(Knob::ExecutionMode, mode).unwrap();
             db.execute_plan(&plan, None).unwrap(); // warm-up
             let started = std::time::Instant::now();
             let result = db.execute_plan(&plan, None).unwrap();

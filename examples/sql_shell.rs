@@ -11,7 +11,7 @@
 use std::io::{BufRead, Write};
 
 use mb2::engine::exec::ExecutionMode;
-use mb2::engine::Database;
+use mb2::engine::{Database, Knob};
 
 fn main() {
     let db = Database::open();
@@ -37,11 +37,13 @@ fn main() {
                 "\\quit" | "\\q" => break,
                 "\\mode" => match parts.next().map(str::trim) {
                     Some("interpret") => {
-                        db.set_execution_mode(ExecutionMode::Interpret);
+                        db.set_knob(Knob::ExecutionMode, ExecutionMode::Interpret)
+                            .unwrap();
                         println!("execution mode: interpret");
                     }
                     Some("compiled") => {
-                        db.set_execution_mode(ExecutionMode::Compiled);
+                        db.set_knob(Knob::ExecutionMode, ExecutionMode::Compiled)
+                            .unwrap();
                         println!("execution mode: compiled");
                     }
                     _ => println!("usage: \\mode interpret|compiled"),

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use mb2::common::{Prng, Value};
 use mb2::engine::exec::ExecutionMode;
-use mb2::engine::Database;
+use mb2::engine::{Database, Knob};
 use mb2::workloads::{smallbank::SmallBank, tatp::Tatp, tpcc::Tpcc, tpch::Tpch, Workload};
 
 use proptest::prelude::*;
@@ -106,9 +106,11 @@ fn tpch_results_mode_invariant() {
     for template in tpch.template_names() {
         let sql = tpch.query(template, &mut rng);
         let plan = db.prepare(&sql).unwrap();
-        db.set_execution_mode(ExecutionMode::Interpret);
+        db.set_knob(Knob::ExecutionMode, ExecutionMode::Interpret)
+            .unwrap();
         let mut a = db.execute_plan(&plan, None).unwrap().rows;
-        db.set_execution_mode(ExecutionMode::Compiled);
+        db.set_knob(Knob::ExecutionMode, ExecutionMode::Compiled)
+            .unwrap();
         let mut b = db.execute_plan(&plan, None).unwrap().rows;
         // Ties in ORDER BY keys may come out in any order (hash-table
         // iteration is unordered); compare as multisets.
