@@ -7,7 +7,7 @@ use parking_lot::{Mutex, RwLock};
 use mb2_catalog::Catalog;
 use mb2_common::{Column, DbError, DbResult, FaultInjector, Schema};
 use mb2_exec::{
-    execute, execute_batched, Batch, ExecContext, ExecPool, ObsRecorder, OuRecorder, QueryResult,
+    collect, execute_batched, Batch, ExecContext, ExecPool, ObsRecorder, OuRecorder, QueryResult,
     DEFAULT_MORSEL_SLOTS,
 };
 use mb2_index::IndexObs;
@@ -224,18 +224,9 @@ impl Database {
         *self.statement_tap.write() = tap;
     }
 
-    /// Report a statement to the installed tap, if any. Cheap when no tap
-    /// is installed (one read-lock acquisition).
-    fn tap_statement(&self, stmt: &Statement, sql: &str) {
-        if !matches!(
-            stmt,
-            Statement::Select(_)
-                | Statement::Insert { .. }
-                | Statement::Update { .. }
-                | Statement::Delete { .. }
-        ) {
-            return;
-        }
+    /// Report a DML/SELECT statement to the installed tap, if any. Cheap
+    /// when no tap is installed (one read-lock acquisition).
+    fn tap_statement(&self, sql: &str) {
         if let Some(tap) = self.statement_tap.read().as_ref() {
             tap.observe(sql);
         }
@@ -409,34 +400,7 @@ impl Database {
         recorder: Option<&dyn OuRecorder>,
     ) -> DbResult<QueryResult> {
         let stmt = parse(sql)?;
-        let ddl_series = self.engine_metrics.stmt(StatementKind::Ddl);
-        let ddl_span = self.metrics.span();
-        match self.try_handle_ddl(&stmt) {
-            Ok(Some(result)) => {
-                self.invalidate_plan_cache();
-                ddl_series.count.inc();
-                ddl_span.observe(&ddl_series.latency_us);
-                return Ok(result);
-            }
-            Ok(None) => {}
-            // `try_handle_ddl` only fails inside a DDL arm, so the error
-            // belongs to the `ddl` kind.
-            Err(e) => {
-                ddl_series.count.inc();
-                ddl_series.errors.inc();
-                return Err(e);
-            }
-        }
-        match stmt {
-            Statement::Begin | Statement::Commit | Statement::Rollback => Err(DbError::Plan(
-                "transaction control requires a session (Database::session)".into(),
-            )),
-            other => {
-                self.tap_statement(&other, sql);
-                let plan = Planner::new(&self.catalog).plan(&other)?;
-                self.execute_plan_autocommit(&plan, recorder)
-            }
-        }
+        collect(|sink| self.run(&stmt, sql, None, recorder, sink))
     }
 
     /// Execute a pre-planned statement in autocommit mode.
@@ -445,40 +409,7 @@ impl Database {
         plan: &PlanNode,
         recorder: Option<&dyn OuRecorder>,
     ) -> DbResult<QueryResult> {
-        self.execute_plan_autocommit(plan, recorder)
-    }
-
-    /// Autocommit execution with end-to-end latency accounting: the
-    /// per-kind `mb2_stmt_latency_us` observation spans execution AND the
-    /// commit, so commit-side stalls (WAL pressure, commit-lock
-    /// contention, injected faults) are visible in the statement latency
-    /// the autopilot's verify step judges by.
-    fn execute_plan_autocommit(
-        &self,
-        plan: &PlanNode,
-        recorder: Option<&dyn OuRecorder>,
-    ) -> DbResult<QueryResult> {
-        let series = self.engine_metrics.stmt(classify(plan));
-        series.count.inc();
-        let span = self.metrics.span();
-        let mut txn = self.txns.begin();
-        match self.execute_plan_inner(plan, &mut txn, recorder) {
-            Ok(r) => match txn.commit() {
-                Ok(_) => {
-                    span.observe(&series.latency_us);
-                    Ok(r)
-                }
-                Err(e) => {
-                    series.errors.inc();
-                    Err(e)
-                }
-            },
-            Err(e) => {
-                series.errors.inc();
-                txn.abort();
-                Err(e)
-            }
-        }
+        collect(|sink| self.run_plan(plan, None, recorder, sink))
     }
 
     /// Execute a plan inside an existing transaction.
@@ -488,108 +419,22 @@ impl Database {
         txn: &mut Transaction,
         recorder: Option<&dyn OuRecorder>,
     ) -> DbResult<QueryResult> {
-        let series = self.engine_metrics.stmt(classify(plan));
-        series.count.inc();
-        let span = self.metrics.span();
-        let result = self.execute_plan_inner(plan, txn, recorder);
-        match &result {
-            Ok(_) => {
-                span.observe(&series.latency_us);
-            }
-            Err(_) => series.errors.inc(),
-        }
-        result
-    }
-
-    fn execute_plan_inner(
-        &self,
-        plan: &PlanNode,
-        txn: &mut Transaction,
-        recorder: Option<&dyn OuRecorder>,
-    ) -> DbResult<QueryResult> {
-        let knobs = self.knobs();
-        let mut ctx = ExecContext {
-            catalog: &self.catalog,
-            txn,
-            mode: knobs.execution_mode,
-            recorder,
-            hw: knobs.hw,
-            jht_sleep_every: knobs.jht_sleep_every,
-            index_obs: Some(self.index_obs.clone()),
-            batch_size: knobs.batch_size.max(1),
-            pool: self.exec_pool(),
-            morsel_slots: DEFAULT_MORSEL_SLOTS,
-            columnar: knobs.columnar_enabled,
-        };
-        // Index builds must be loggable before we spend the work building
-        // them; a poisoned WAL rejects the DDL up front.
-        if matches!(plan, mb2_sql::PlanNode::CreateIndex { .. }) {
-            self.check_wal_writable()?;
-        }
-        let result = execute(plan, &mut ctx)?;
-        // DDL-through-the-executor (index builds) is logged for recovery.
-        if let mb2_sql::PlanNode::CreateIndex {
-            table,
-            index,
-            columns,
-            ..
-        } = plan
-        {
-            if let Ok(entry) = self.catalog.get(table) {
-                self.log_ddl(&LogRecord::CreateIndex {
-                    table_id: entry.table.id.0,
-                    name: index.clone(),
-                    columns: columns.iter().map(|&c| c as u32).collect(),
-                })?;
-            }
-            self.invalidate_plan_cache();
-        }
-        Ok(result)
+        collect(|sink| self.run_plan(plan, Some(txn), recorder, sink))
     }
 
     /// Execute one statement in autocommit mode, streaming result batches
     /// to `on_batch` instead of materializing a [`QueryResult`] — result
     /// rows reach the caller as they are produced, and a callback error
-    /// aborts the query (and its upstream scans) early. DDL runs through
-    /// the normal path; DML runs to completion without invoking the
-    /// callback. Returns the number of rows streamed (or rows affected).
+    /// aborts the query (and its upstream scans) early. DDL and DML run
+    /// to completion without invoking the callback. Returns the number of
+    /// rows streamed (or rows affected).
     pub fn execute_streaming(
         &self,
         sql: &str,
         recorder: Option<&dyn OuRecorder>,
         on_batch: &mut dyn FnMut(Batch) -> DbResult<()>,
     ) -> DbResult<usize> {
-        let stmt = parse(sql)?;
-        match stmt {
-            Statement::Begin | Statement::Commit | Statement::Rollback => Err(DbError::Plan(
-                "transaction control requires a session (Database::session)".into(),
-            )),
-            // DDL (including index builds, which must be WAL-logged) takes
-            // the materializing path; it produces no result rows anyway.
-            Statement::CreateTable { .. }
-            | Statement::DropTable { .. }
-            | Statement::DropIndex { .. }
-            | Statement::Analyze { .. }
-            | Statement::CreateIndex { .. } => self
-                .execute_recorded(sql, recorder)
-                .map(|r| r.rows_affected),
-            other => {
-                self.tap_statement(&other, sql);
-                let plan = Planner::new(&self.catalog).plan(&other)?;
-                let mut txn = self.txns.begin();
-                let result = self.execute_plan_streaming_in(&plan, &mut txn, recorder, on_batch);
-                match result {
-                    Ok(n) => {
-                        txn.commit()?;
-                        Ok(n)
-                    }
-                    Err(e) => {
-                        txn.abort();
-                        Err(e)
-                    }
-                }
-            }
-        }
+        self.run(&parse(sql)?, sql, None, recorder, on_batch)
     }
 
     /// Streaming analog of [`Database::execute_plan_in`].
@@ -600,31 +445,7 @@ impl Database {
         recorder: Option<&dyn OuRecorder>,
         on_batch: &mut dyn FnMut(Batch) -> DbResult<()>,
     ) -> DbResult<usize> {
-        let series = self.engine_metrics.stmt(classify(plan));
-        series.count.inc();
-        let span = self.metrics.span();
-        let knobs = self.knobs();
-        let mut ctx = ExecContext {
-            catalog: &self.catalog,
-            txn,
-            mode: knobs.execution_mode,
-            recorder,
-            hw: knobs.hw,
-            jht_sleep_every: knobs.jht_sleep_every,
-            index_obs: Some(self.index_obs.clone()),
-            batch_size: knobs.batch_size.max(1),
-            pool: self.exec_pool(),
-            morsel_slots: DEFAULT_MORSEL_SLOTS,
-            columnar: knobs.columnar_enabled,
-        };
-        let result = execute_batched(plan, &mut ctx, on_batch);
-        match &result {
-            Ok(_) => {
-                span.observe(&series.latency_us);
-            }
-            Err(_) => series.errors.inc(),
-        }
-        result
+        self.run_plan(plan, Some(txn), recorder, on_batch)
     }
 
     /// Execute a statement inside an existing transaction (used by sessions
@@ -636,87 +457,202 @@ impl Database {
         recorder: Option<&dyn OuRecorder>,
     ) -> DbResult<QueryResult> {
         let stmt = parse(sql)?;
-        if matches!(
-            stmt,
-            Statement::CreateTable { .. }
-                | Statement::DropTable { .. }
-                | Statement::DropIndex { .. }
-                | Statement::Analyze { .. }
-        ) {
-            return Err(DbError::Plan("DDL is autocommit-only".into()));
-        }
-        self.tap_statement(&stmt, sql);
-        let plan = Planner::new(&self.catalog).plan(&stmt)?;
-        self.execute_plan_in(&plan, txn, recorder)
+        collect(|sink| self.run(&stmt, sql, Some(txn), recorder, sink))
     }
 
-    /// Handle statements that bypass the planner. Returns `Some` when the
-    /// statement was DDL handled here.
-    fn try_handle_ddl(&self, stmt: &Statement) -> DbResult<Option<QueryResult>> {
+    /// The one statement path behind every SQL entry point: classify a
+    /// parsed statement, then run DDL here (autocommit only) or tap, plan
+    /// and hand it to [`Database::run_plan`] — in `txn` when given, else
+    /// in a transaction of its own. Transaction control belongs to
+    /// [`Session`].
+    pub(crate) fn run(
+        &self,
+        stmt: &Statement,
+        sql: &str,
+        txn: Option<&mut Transaction>,
+        recorder: Option<&dyn OuRecorder>,
+        on_batch: &mut dyn FnMut(Batch) -> DbResult<()>,
+    ) -> DbResult<usize> {
         match stmt {
+            Statement::Begin | Statement::Commit | Statement::Rollback => {
+                return Err(DbError::Plan(
+                    "transaction control requires a session (Database::session)".into(),
+                ))
+            }
+            Statement::Select(_)
+            | Statement::Insert { .. }
+            | Statement::Update { .. }
+            | Statement::Delete { .. } => self.tap_statement(sql),
+            // Index builds run through the executor; `run_plan` logs them.
+            Statement::CreateIndex { .. } => {}
             Statement::CreateTable { name, columns } => {
-                self.check_wal_writable()?;
-                let schema = Schema::new(
-                    columns
-                        .iter()
-                        .map(|c| {
-                            let mut col = Column::new(c.name.clone(), c.ty);
-                            if let Some(len) = c.varchar_len {
-                                col = col.with_varchar_len(len);
-                            }
-                            col
-                        })
-                        .collect(),
-                );
-                let entry = self.catalog.create_table_with_shards(
-                    name,
-                    schema,
-                    self.knobs().shard_count.max(1),
-                )?;
-                self.gc.register(entry.table.clone());
-                self.compactor.register(entry.table.clone());
-                entry.table.set_faults(self.faults.clone());
-                self.log_ddl(&LogRecord::CreateTable {
-                    table_id: entry.table.id.0,
-                    name: entry.table.name.clone(),
-                    columns: entry
-                        .table
-                        .schema()
-                        .columns()
-                        .iter()
-                        .map(|c| LoggedColumn {
-                            name: c.name.clone(),
-                            type_tag: LogRecord::type_tag(c.ty),
-                            varchar_len: c.varchar_len as u32,
-                        })
-                        .collect(),
-                })?;
-                Ok(Some(QueryResult::default()))
+                return self.run_ddl(txn.is_some(), || {
+                    self.check_wal_writable()?;
+                    let schema = Schema::new(
+                        columns
+                            .iter()
+                            .map(|c| {
+                                let mut col = Column::new(c.name.clone(), c.ty);
+                                if let Some(len) = c.varchar_len {
+                                    col = col.with_varchar_len(len);
+                                }
+                                col
+                            })
+                            .collect(),
+                    );
+                    let entry = self.catalog.create_table_with_shards(
+                        name,
+                        schema,
+                        self.knobs().shard_count.max(1),
+                    )?;
+                    self.gc.register(entry.table.clone());
+                    self.compactor.register(entry.table.clone());
+                    entry.table.set_faults(self.faults.clone());
+                    self.log_ddl(&LogRecord::CreateTable {
+                        table_id: entry.table.id.0,
+                        name: entry.table.name.clone(),
+                        columns: entry
+                            .table
+                            .schema()
+                            .columns()
+                            .iter()
+                            .map(|c| LoggedColumn {
+                                name: c.name.clone(),
+                                type_tag: LogRecord::type_tag(c.ty),
+                                varchar_len: c.varchar_len as u32,
+                            })
+                            .collect(),
+                    })
+                })
             }
             Statement::DropTable { name } => {
-                self.check_wal_writable()?;
-                let id = self.catalog.get(name)?.table.id.0;
-                self.catalog.drop_table(name)?;
-                self.log_ddl(&LogRecord::DropTable { table_id: id })?;
-                Ok(Some(QueryResult::default()))
+                return self.run_ddl(txn.is_some(), || {
+                    self.check_wal_writable()?;
+                    let id = self.catalog.get(name)?.table.id.0;
+                    self.catalog.drop_table(name)?;
+                    self.log_ddl(&LogRecord::DropTable { table_id: id })
+                })
             }
             Statement::DropIndex { name, table } => {
-                self.check_wal_writable()?;
-                let entry = self.catalog.get(table)?;
-                entry.drop_index(name)?;
-                self.log_ddl(&LogRecord::DropIndex {
-                    table_id: entry.table.id.0,
-                    name: name.clone(),
-                })?;
-                Ok(Some(QueryResult::default()))
+                return self.run_ddl(txn.is_some(), || {
+                    self.check_wal_writable()?;
+                    let entry = self.catalog.get(table)?;
+                    entry.drop_index(name)?;
+                    self.log_ddl(&LogRecord::DropIndex {
+                        table_id: entry.table.id.0,
+                        name: name.clone(),
+                    })
+                })
             }
             Statement::Analyze { table } => {
-                let entry = self.catalog.get(table)?;
-                entry.analyze(self.txns.now());
-                Ok(Some(QueryResult::default()))
+                return self.run_ddl(txn.is_some(), || {
+                    self.catalog.get(table)?.analyze(self.txns.now());
+                    Ok(())
+                })
             }
-            _ => Ok(None),
         }
+        let plan = Planner::new(&self.catalog).plan(stmt)?;
+        self.run_plan(&plan, txn, recorder, on_batch)
+    }
+
+    /// Run one catalog-only DDL statement (rejected inside a transaction),
+    /// counted in the `ddl` series; success drops every cached plan.
+    fn run_ddl(&self, in_txn: bool, ddl: impl FnOnce() -> DbResult<()>) -> DbResult<usize> {
+        if in_txn {
+            return Err(DbError::Plan("DDL is autocommit-only".into()));
+        }
+        self.observed(StatementKind::Ddl, || {
+            ddl()?;
+            self.invalidate_plan_cache();
+            Ok(0)
+        })
+    }
+
+    /// The one plan runner: executes `plan` in `txn`, or — with `None` — in
+    /// a transaction of its own that it commits (or aborts on error). An
+    /// index build is checked against the WAL first, then logged, and
+    /// drops every cached plan.
+    fn run_plan(
+        &self,
+        plan: &PlanNode,
+        txn: Option<&mut Transaction>,
+        recorder: Option<&dyn OuRecorder>,
+        on_batch: &mut dyn FnMut(Batch) -> DbResult<()>,
+    ) -> DbResult<usize> {
+        self.observed(classify(plan), || {
+            let mut own = None;
+            let txn = match txn {
+                Some(txn) => txn,
+                None => own.insert(self.txns.begin()),
+            };
+            // Index builds must be loggable before we spend the work
+            // building them; a poisoned WAL rejects the DDL up front.
+            if matches!(plan, PlanNode::CreateIndex { .. }) {
+                self.check_wal_writable()?;
+            }
+            let knobs = self.knobs();
+            let n = execute_batched(
+                plan,
+                &mut ExecContext {
+                    catalog: &self.catalog,
+                    txn,
+                    mode: knobs.execution_mode,
+                    recorder,
+                    hw: knobs.hw,
+                    jht_sleep_every: knobs.jht_sleep_every,
+                    index_obs: Some(self.index_obs.clone()),
+                    batch_size: knobs.batch_size.max(1),
+                    pool: self.exec_pool(),
+                    morsel_slots: DEFAULT_MORSEL_SLOTS,
+                    columnar: knobs.columnar_enabled,
+                },
+                on_batch,
+            )?;
+            if let PlanNode::CreateIndex {
+                table,
+                index,
+                columns,
+                ..
+            } = plan
+            {
+                if let Ok(entry) = self.catalog.get(table) {
+                    self.log_ddl(&LogRecord::CreateIndex {
+                        table_id: entry.table.id.0,
+                        name: index.clone(),
+                        columns: columns.iter().map(|&c| c as u32).collect(),
+                    })?;
+                }
+                self.invalidate_plan_cache();
+            }
+            // An error above drops `own`, which aborts it.
+            match own {
+                Some(own) => own.commit().map(|_| n),
+                None => Ok(n),
+            }
+        })
+    }
+
+    /// Count one statement of `kind` in `mb2_stmt_total`, then either time
+    /// it into `mb2_stmt_latency_us` or count its error. The span covers
+    /// all of `stmt` — for an autocommit statement, its commit too, so
+    /// commit-side stalls (WAL pressure, commit-lock contention, injected
+    /// faults) show in the latency the autopilot's verify step judges by.
+    fn observed(
+        &self,
+        kind: StatementKind,
+        stmt: impl FnOnce() -> DbResult<usize>,
+    ) -> DbResult<usize> {
+        let series = self.engine_metrics.stmt(kind);
+        series.count.inc();
+        let span = self.metrics.span();
+        let result = stmt();
+        match &result {
+            Ok(_) => {
+                span.observe(&series.latency_us);
+            }
+            Err(_) => series.errors.inc(),
+        }
+        result
     }
 
     /// Recompute statistics for every table.

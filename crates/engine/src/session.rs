@@ -1,7 +1,7 @@
 //! Sessions: multi-statement transactions over the SQL interface.
 
 use mb2_common::{DbError, DbResult};
-use mb2_exec::{OuRecorder, QueryResult};
+use mb2_exec::{collect, Batch, OuRecorder, QueryResult};
 use mb2_sql::{parse, Statement};
 use mb2_txn::Transaction;
 
@@ -32,61 +32,44 @@ impl<'db> Session<'db> {
         sql: &str,
         recorder: Option<&dyn OuRecorder>,
     ) -> DbResult<QueryResult> {
-        let stmt = parse(sql)?;
-        match stmt {
+        collect(|sink| self.execute_streaming(sql, recorder, sink))
+    }
+
+    /// Execute a statement, streaming result batches to `on_batch` instead
+    /// of materializing them. The session handles transaction control
+    /// itself; every other statement runs on the database's one statement
+    /// path, inside the session's open transaction if there is one.
+    /// Returns rows streamed / rows affected.
+    pub fn execute_streaming(
+        &mut self,
+        sql: &str,
+        recorder: Option<&dyn OuRecorder>,
+        on_batch: &mut dyn FnMut(Batch) -> DbResult<()>,
+    ) -> DbResult<usize> {
+        match parse(sql)? {
             Statement::Begin => {
                 if self.txn.is_some() {
                     return Err(DbError::Plan("nested BEGIN".into()));
                 }
                 self.txn = Some(self.db.begin());
-                Ok(QueryResult::default())
+                Ok(0)
             }
-            Statement::Commit => {
-                let txn = self
-                    .txn
-                    .take()
-                    .ok_or_else(|| DbError::Plan("COMMIT outside a transaction".into()))?;
-                txn.commit()?;
-                Ok(QueryResult::default())
-            }
+            Statement::Commit => self
+                .txn
+                .take()
+                .ok_or_else(|| DbError::Plan("COMMIT outside a transaction".into()))?
+                .commit()
+                .map(|_| 0),
             Statement::Rollback => {
-                let txn = self
-                    .txn
+                self.txn
                     .take()
-                    .ok_or_else(|| DbError::Plan("ROLLBACK outside a transaction".into()))?;
-                txn.abort();
-                Ok(QueryResult::default())
+                    .ok_or_else(|| DbError::Plan("ROLLBACK outside a transaction".into()))?
+                    .abort();
+                Ok(0)
             }
-            _ => match self.txn.as_mut() {
-                Some(txn) => self.db.execute_in(sql, txn, recorder),
-                None => self.db.execute_recorded(sql, recorder),
-            },
-        }
-    }
-
-    /// Execute a statement, streaming result batches to `on_batch` instead
-    /// of materializing them. Honors the session's open transaction.
-    /// Transaction control and DDL take the materializing path (they
-    /// produce no result rows). Returns rows streamed / rows affected.
-    pub fn execute_streaming(
-        &mut self,
-        sql: &str,
-        recorder: Option<&dyn OuRecorder>,
-        on_batch: &mut dyn FnMut(mb2_exec::Batch) -> DbResult<()>,
-    ) -> DbResult<usize> {
-        let stmt = parse(sql)?;
-        match stmt {
-            Statement::Begin | Statement::Commit | Statement::Rollback => self
-                .execute_recorded(sql, recorder)
-                .map(|r| r.rows_affected),
-            _ => match self.txn.as_mut() {
-                Some(txn) => {
-                    let plan = mb2_sql::Planner::new(self.db.catalog()).plan(&stmt)?;
-                    self.db
-                        .execute_plan_streaming_in(&plan, txn, recorder, on_batch)
-                }
-                None => self.db.execute_streaming(sql, recorder, on_batch),
-            },
+            stmt => self
+                .db
+                .run(&stmt, sql, self.txn.as_mut(), recorder, on_batch),
         }
     }
 
@@ -168,6 +151,18 @@ mod tests {
         let mut s = db.session();
         s.execute("BEGIN").unwrap();
         assert!(s.execute("BEGIN").is_err());
+        // DDL inside a transaction: the same error from both entry points.
+        let ddl = "CREATE TABLE u (a INT)";
+        let materialized = s.execute(ddl).unwrap_err().to_string();
+        let streamed = s
+            .execute_streaming(ddl, None, &mut |_| Ok(()))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            materialized.contains("DDL is autocommit-only"),
+            "{materialized}"
+        );
+        assert_eq!(streamed, materialized);
     }
 
     #[test]

@@ -29,8 +29,16 @@ pub fn subtree_size(node: &PlanNode) -> u32 {
 /// Execute a plan to completion inside the context's transaction,
 /// materializing all result rows.
 pub fn execute(plan: &PlanNode, ctx: &mut ExecContext<'_>) -> DbResult<QueryResult> {
+    collect(|sink| execute_batched(plan, ctx, sink))
+}
+
+/// Materialize a streamed execution: `run` gets a sink that collects every
+/// result batch, and the count it returns becomes `rows_affected`.
+pub fn collect(
+    run: impl FnOnce(&mut dyn FnMut(Batch) -> DbResult<()>) -> DbResult<usize>,
+) -> DbResult<QueryResult> {
     let mut rows: Vec<Tuple> = Vec::new();
-    let n = execute_batched(plan, ctx, &mut |b: Batch| {
+    let rows_affected = run(&mut |b: Batch| {
         rows.reserve(b.rows.len());
         for row in b.rows {
             rows.push(batch::into_owned(row));
@@ -38,7 +46,7 @@ pub fn execute(plan: &PlanNode, ctx: &mut ExecContext<'_>) -> DbResult<QueryResu
         Ok(())
     })?;
     Ok(QueryResult {
-        rows_affected: n,
+        rows_affected,
         rows,
     })
 }

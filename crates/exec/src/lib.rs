@@ -28,7 +28,7 @@ pub mod tracker;
 
 pub use batch::{Batch, DEFAULT_BATCH_SIZE};
 pub use context::{ExecContext, ExecutionMode};
-pub use executor::{execute, execute_batched, subtree_size, QueryResult};
+pub use executor::{collect, execute, execute_batched, subtree_size, QueryResult};
 pub use obs::ObsRecorder;
 pub use parallel::{ExecPool, DEFAULT_MORSEL_SLOTS};
 pub use tracker::{OuRecorder, OuTracker, WorkCounts};

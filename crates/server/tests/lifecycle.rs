@@ -72,6 +72,56 @@ fn explicit_transactions_span_requests() {
     server.shutdown();
 }
 
+/// An index built inside an explicit transaction over the wire is as
+/// durable as one built in autocommit, and retires cached plans.
+#[test]
+fn in_transaction_index_build_survives_recovery() {
+    let path = std::env::temp_dir().join(format!(
+        "mb2_lifecycle_{}_txn_index.log",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let server = start_server(
+        DatabaseConfig {
+            wal_enabled: true,
+            wal_path: Some(path.clone()),
+            wal_sync_commit: true,
+            ..DatabaseConfig::default()
+        },
+        ServerConfig::default(),
+    );
+    let db = server.db();
+    let mut client = Client::connect(addr_of(&server)).expect("connect");
+    client.query("CREATE TABLE t (a INT, b INT)").unwrap();
+    client
+        .query("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+        .unwrap();
+    let query = "SELECT b FROM t WHERE a = 2";
+    let before = db.prepare_cached(query).unwrap();
+    for sql in ["BEGIN", "CREATE INDEX t_a ON t (a)", "COMMIT"] {
+        client.query(sql).unwrap();
+    }
+    let fresh = db.prepare(query).unwrap();
+    assert_ne!(*before, fresh);
+    assert_eq!(*db.prepare_cached(query).unwrap(), fresh);
+    let resp = client.query(query).unwrap();
+    assert_eq!(resp.rows, vec![vec![mb2_common::Value::Int(20)]]);
+    server.shutdown();
+    drop(db);
+
+    let (recovered, report) =
+        mb2_engine::recover(&path, DatabaseConfig::default()).expect("recover");
+    assert_eq!(report.indexes_created, 1, "{report:?}");
+    // Recovery re-analyzes, so compare the access path, not the estimates.
+    let plan = format!("{:?}", recovered.prepare(query).unwrap());
+    assert!(
+        plan.contains("IndexScan { table: \"t\", index: \"t_a\""),
+        "{plan}"
+    );
+    drop(recovered);
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn connection_limit_rejects_with_typed_busy() {
     let server = start_server(
